@@ -2,6 +2,7 @@ package autoscale
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"svbench/internal/gemsys"
@@ -31,6 +32,36 @@ func testConfig(t *testing.T) Config {
 		Duration:  20_000_000,
 		Seed:      7,
 		KeepAlive: 10_000_000,
+	}
+}
+
+// TestRunValidation mirrors loadgen's: bad load parameters and bad
+// cluster dimensions return an error instead of a report.
+func TestRunValidation(t *testing.T) {
+	if _, err := Run(Config{}); err == nil {
+		t.Fatal("empty config accepted")
+	}
+	for _, rps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := testConfig(t)
+		cfg.RPS = rps
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("RPS %g accepted", rps)
+		}
+	}
+	cfg := testConfig(t)
+	cfg.Duration = 0
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("zero duration accepted")
+	}
+	cfg = testConfig(t)
+	cfg.Nodes = -1
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("negative node count accepted")
+	}
+	cfg = testConfig(t)
+	cfg.InstMemMB = 2 * cfg.MemPerNode()
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("instance larger than a node accepted")
 	}
 }
 

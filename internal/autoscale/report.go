@@ -86,73 +86,88 @@ type Report struct {
 	TraceDropped uint64
 }
 
-// report assembles the Report after the event loop drains.
-func (e *engine) report() (*Report, error) {
-	label := fmt.Sprintf("%s autoscale (%s)", e.cfg.Spec.Name, e.cfg.Cfg.Arch)
-	tj, err := trace.ChromeJSON(e.tracer.Events(), nil, e.tracer.Dropped)
-	if err != nil {
-		return nil, fmt.Errorf("autoscale: trace export: %w", err)
-	}
-
-	r := &Report{
-		Cfg:             e.cfg,
-		Invocations:     e.invs,
-		ScaleUps:        e.scaleUps,
-		ScaleDowns:      e.scaleDowns,
-		ChurnColdStarts: e.churnColds,
-		RejectedPlaces:  e.rejected,
-		PeakInstances:   e.peak,
-		MaxQueueDepth:   e.maxQueue,
-		PanicEntries:    e.panicEntries,
-		PanicExits:      e.panicExits,
-		Ticks:           e.ticks,
-		CheckFailures:   e.checkFailures,
-		StatsText:       e.reg.Text(label),
-		TraceJSON:       tj,
-		Events:          e.tracer.Events(),
-		TraceDropped:    e.tracer.Dropped,
-	}
-
-	lat := make([]uint64, 0, len(e.invs))
-	wait := make([]uint64, 0, len(e.invs))
-	svc := make([]uint64, 0, len(e.invs))
+// report assembles the Report after the event loop drains: the
+// engine's invocation records become cluster invocations graded against
+// the SLO, and each node's busy time sums its instances' service.
+func (a *autoscaler) report() (*Report, error) {
+	e := a.eng
+	slo := a.cfg.Objective()
+	invs := make([]Invocation, len(e.Invs))
+	busyNS := make([]uint64, len(a.nodes))
+	var makespan uint64
+	lat := make([]uint64, 0, len(invs))
+	wait := make([]uint64, 0, len(invs))
+	svc := make([]uint64, 0, len(invs))
 	sloOK := 0
-	for i := range e.invs {
-		iv := &e.invs[i]
+	for i := range e.Invs {
+		src := &e.Invs[i]
+		iv := Invocation{
+			ID: src.ID, Node: a.instNode[src.Instance], Instance: src.Instance,
+			Arrive: src.Arrive, Start: src.Start, Done: src.Done,
+			Wait: src.QueueDelay, Service: src.Service, Latency: src.Latency,
+			Cold: src.Cold, ColdPenalty: src.ColdPenalty, CheckFailed: src.CheckFailed,
+			SLOOk: src.Latency <= slo,
+		}
+		invs[i] = iv
+		busyNS[iv.Node] += iv.Service
 		lat = append(lat, iv.Latency)
 		wait = append(wait, iv.Wait)
 		svc = append(svc, iv.Service)
 		if iv.SLOOk {
 			sloOK++
+		} else {
+			a.sloViolations++
 		}
-		if iv.Done > r.Makespan {
-			r.Makespan = iv.Done
-		}
+		makespan = max(makespan, iv.Done)
 	}
-	r.Latency = loadgen.Percentiles(lat)
-	r.Wait = loadgen.Percentiles(wait)
-	r.Service = loadgen.Percentiles(svc)
-	if n := len(e.invs); n > 0 {
+
+	label := fmt.Sprintf("%s autoscale (%s)", a.cfg.Spec.Name, a.cfg.Cfg.Arch)
+	tj, err := trace.ChromeJSON(e.Tracer.Events(), nil, e.Tracer.Dropped)
+	if err != nil {
+		return nil, fmt.Errorf("autoscale: trace export: %w", err)
+	}
+	r := &Report{
+		Cfg:             a.cfg,
+		Invocations:     invs,
+		ScaleUps:        e.ColdStarts,
+		ScaleDowns:      a.scaleDowns,
+		ChurnColdStarts: e.ChurnColds,
+		RejectedPlaces:  a.rejected,
+		PeakInstances:   e.Peak,
+		MaxQueueDepth:   e.MaxQueue,
+		PanicEntries:    a.panicEntries,
+		PanicExits:      a.panicExits,
+		Ticks:           a.ticks,
+		CheckFailures:   e.CheckFailures,
+		StatsText:       a.reg.Text(label),
+		TraceJSON:       tj,
+		Events:          e.Tracer.Events(),
+		Latency:         loadgen.Percentiles(lat),
+		Wait:            loadgen.Percentiles(wait),
+		Service:         loadgen.Percentiles(svc),
+		Makespan:        makespan,
+		TraceDropped:    e.Tracer.Dropped,
+	}
+	if n := len(invs); n > 0 {
 		r.SLOAttainment = float64(sloOK) / float64(n)
 	}
-	if e.scaleUps > 0 {
-		r.ChurnColdRate = float64(e.churnColds) / float64(e.scaleUps)
+	if r.ScaleUps > 0 {
+		r.ChurnColdRate = float64(r.ChurnColdStarts) / float64(r.ScaleUps)
 	}
-	if e.peak > 0 {
-		r.ColdAmplification = float64(e.scaleUps) / float64(e.peak)
+	if r.PeakInstances > 0 {
+		r.ColdAmplification = float64(r.ScaleUps) / float64(r.PeakInstances)
 	}
 	if r.Makespan > 0 {
-		r.Throughput = float64(len(e.invs)) * 1e9 / float64(r.Makespan)
+		r.Throughput = float64(len(invs)) * 1e9 / float64(r.Makespan)
 		var busy, coreTime uint64
-		r.Nodes = make([]NodeStats, len(e.nodes))
-		for i := range e.nodes {
-			n := &e.nodes[i]
-			r.Nodes[i] = NodeStats{Placed: n.placed, BusyNS: n.busyNS}
+		r.Nodes = make([]NodeStats, len(a.nodes))
+		for i, n := range a.nodes {
+			r.Nodes[i] = NodeStats{Placed: n.placed, BusyNS: busyNS[i]}
 			ct := uint64(n.cores) * r.Makespan
 			if ct > 0 {
-				r.Nodes[i].Utilization = float64(n.busyNS) / float64(ct)
+				r.Nodes[i].Utilization = float64(busyNS[i]) / float64(ct)
 			}
-			busy += n.busyNS
+			busy += busyNS[i]
 			coreTime += ct
 		}
 		if coreTime > 0 {

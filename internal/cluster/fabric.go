@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
 
 	"svbench/internal/db"
+	"svbench/internal/des"
 	"svbench/internal/faults"
 	"svbench/internal/gemsys"
 	"svbench/internal/ir"
@@ -57,10 +57,11 @@ const (
 	evResume                // a machine's expired quantum continues
 )
 
-// event is one entry of the global DES queue. Ties on `at` break by
-// insertion sequence, making pop order fully deterministic.
+// event is one entry of the global DES calendar. The fabric books every
+// event under a single class, so ties on `at` break by insertion order
+// (see internal/des), making pop order fully deterministic.
 type event struct {
-	at, seq uint64
+	at      uint64
 	kind    evKind
 	src     int // sending node; -1 = client
 	dst     int // destination node; -1 = client
@@ -70,26 +71,6 @@ type event struct {
 	payload []byte
 	msgID   uint64
 	netNS   uint64 // queue + tx + latency the message spent in flight
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }
 
 // dep is one resolved remote dependency of a node: the target node and
@@ -143,16 +124,15 @@ type linkState struct {
 // virtual clock. All methods are single-goroutine; determinism comes
 // from the (time, sequence)-ordered event queue and per-link FIFO state.
 type Fabric struct {
-	cfg      Config
-	top      Topology
-	quantum  uint64
-	nodes    []*node
-	frontend int
-	links    map[linkKey]*linkState
+	cfg       Config
+	top       Topology
+	quantum   uint64
+	nodes     []*node
+	frontend  int
+	links     map[linkKey]*linkState
 	overrides map[linkKey]Link
 
-	events eventHeap
-	evSeq  uint64
+	events des.Calendar[*event]
 	msgSeq uint64
 
 	arrivals []uint64
@@ -195,8 +175,8 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("cluster: Requests must be positive")
 	}
-	if cfg.RPS <= 0 {
-		return nil, fmt.Errorf("cluster: RPS must be positive")
+	if !(cfg.RPS > 0) || math.IsInf(cfg.RPS, 1) {
+		return nil, fmt.Errorf("cluster: RPS must be positive and finite, got %g", cfg.RPS)
 	}
 	f := &Fabric{
 		cfg:       cfg,
@@ -388,11 +368,7 @@ func genArrivals(n int, rps float64, seed uint64) []uint64 {
 	return out
 }
 
-func (f *Fabric) push(ev *event) {
-	ev.seq = f.evSeq
-	f.evSeq++
-	heap.Push(&f.events, ev)
-}
+func (f *Fabric) push(ev *event) { f.events.Push(ev.at, 0, 0, ev) }
 
 func (f *Fabric) endpointName(i int) string {
 	if i < 0 {
@@ -462,7 +438,7 @@ func (f *Fabric) Run() (*Report, error) {
 		f.push(&event{at: at, kind: evArrive, src: -1, dst: f.frontend, reqID: i, respTo: -1})
 	}
 	for f.events.Len() > 0 {
-		ev := heap.Pop(&f.events).(*event)
+		_, ev := f.events.Pop()
 		var err error
 		switch ev.kind {
 		case evArrive:

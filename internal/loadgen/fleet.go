@@ -49,9 +49,6 @@ type Instance struct {
 	// Penalty is the boot time (virtual ns of the skipped setup phase)
 	// charged when this instance was cold-started.
 	Penalty uint64
-	// IdleSince is pool-policy state: the instant the instance last went
-	// idle. The fleet never reads it.
-	IdleSince uint64
 
 	b      *harness.Boot
 	reqCh  int
@@ -84,10 +81,6 @@ func NewFleet(cfg gemsys.Config, spec harness.Spec, cache *harness.BootCache,
 	}
 	return f, nil
 }
-
-// Memoizable reports whether instances restore from the shared master
-// checkpoint (false means every cold start simulates its own setup).
-func (f *Fleet) Memoizable() bool { return f.memoizable }
 
 // Acquire cold-starts an instance: a reclaimed machine re-restored from
 // the master checkpoint when possible, otherwise a freshly booted one.

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"svbench/internal/faults"
@@ -87,6 +89,13 @@ func TestRunValidation(t *testing.T) {
 	cfg.RPS = 0
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("zero RPS accepted")
+	}
+	for _, rps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg = testConfig(t)
+		cfg.RPS = rps
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("RPS %g accepted", rps)
+		}
 	}
 	cfg = testConfig(t)
 	cfg.Duration = 0
@@ -272,8 +281,9 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 // instance whose keep-alive lease ends exactly at the dispatch instant is
 // reclaimed (the arrival cold-starts). Flipping the tie-break would
 // silently shift cold/warm accounting in scenario phase buckets. The
-// cases drive reclaimExpired/leaseEnd/takeWarm directly on fabricated
-// pool state — no machines are involved, so instances carry no Boot.
+// cases drive the pool's reclaimExpired and the engine's leaseEnd and
+// warm pick (takeIdle) directly on fabricated engine state — no machines are
+// involved, so instances carry no Boot.
 func TestReclaimDispatchTieBreak(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -289,10 +299,11 @@ func TestReclaimDispatchTieBreak(t *testing.T) {
 		{"huge keep-alive never expires (overflow-safe)", ^uint64(0) - 5, 100_000, ^uint64(0) - 1, false},
 	}
 	for _, tc := range cases {
-		e := &engine{cfg: Config{KeepAlive: tc.keepAlive}, live: 1}
-		inst := &Instance{ID: 0, IdleSince: tc.idleSince}
-		e.idle = []*Instance{inst}
-		e.reclaimExpired(tc.now)
+		e := &Engine{cfg: Config{KeepAlive: tc.keepAlive}, fleet: &Fleet{}}
+		p := &pool{e: e}
+		inst := &slot{inst: &Instance{ID: 0}, idleSince: tc.idleSince}
+		e.idle = []*slot{inst}
+		p.reclaimExpired(tc.now)
 		gotReclaimed := len(e.idle) == 0
 		if gotReclaimed != tc.reclaimed {
 			t.Errorf("%s: reclaimed=%v, want %v (leaseEnd %d, now %d)",
@@ -300,15 +311,15 @@ func TestReclaimDispatchTieBreak(t *testing.T) {
 			continue
 		}
 		if tc.reclaimed {
-			if e.reclaims != 1 || e.live != 0 {
-				t.Errorf("%s: reclaims=%d live=%d, want 1/0", tc.name, e.reclaims, e.live)
+			if p.reclaims != 1 || e.live() != 0 {
+				t.Errorf("%s: reclaims=%d live=%d, want 1/0", tc.name, p.reclaims, e.live())
 			}
-			if w := e.takeWarm(); w != nil {
-				t.Errorf("%s: takeWarm returned instance %d after reclaim", tc.name, w.ID)
+			if w := e.takeIdle(true, tc.now); w != nil {
+				t.Errorf("%s: warm pick returned instance %d after reclaim", tc.name, w.inst.ID)
 			}
 		} else {
-			if w := e.takeWarm(); w != inst {
-				t.Errorf("%s: takeWarm lost the surviving instance", tc.name)
+			if w := e.takeIdle(true, tc.now); w != inst {
+				t.Errorf("%s: warm pick lost the surviving instance", tc.name)
 			}
 		}
 	}
@@ -481,5 +492,37 @@ func TestOnInstanceExposesBindings(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("OnInstance never called for fibonacci-go")
+	}
+}
+
+// leaky is a broken capacity policy: it loses every attempt (loses) or
+// queues it forever with no tick to place it.
+type leaky struct {
+	e     *Engine
+	loses bool
+}
+
+func (l *leaky) Dispatch(a Attempt, now uint64) error {
+	if !l.loses {
+		l.e.Enqueue(a)
+	}
+	return nil
+}
+
+func (l *leaky) Reconcile(uint64) error { return nil }
+
+// TestRunChecksConservation pins the end-of-run check: a policy that
+// loses or strands work makes Run fail instead of reporting a run in
+// which arrivals silently never finished.
+func TestRunChecksConservation(t *testing.T) {
+	for _, loses := range []bool{true, false} {
+		e := &Engine{Invs: make([]Invocation, 3), ends: make([]uint8, 3)}
+		for i := range e.Invs {
+			e.Invs[i].ID, e.Invs[i].Arrive = i, uint64(10*i)
+		}
+		err := e.Run(&leaky{e: e, loses: loses}, 0)
+		if err == nil || !strings.Contains(err.Error(), "finished 0 times") {
+			t.Errorf("loses=%v: err = %v, want a conservation error", loses, err)
+		}
 	}
 }

@@ -86,15 +86,11 @@ type Report struct {
 }
 
 // Percentiles computes nearest-rank percentiles of vals (unsorted, left
-// unmodified) — the same summary the engine applies to its own metrics,
-// exported for phase-bucketed reporting.
-func Percentiles(vals []uint64) Pcts { return pcts(vals) }
-
-// pcts computes nearest-rank percentiles of vals (unsorted, not
-// modified). The rank is the exact integer ceil(p·n) — a float product
-// plus a fudge constant can misrank at large n, where the rounding
-// error of p·n outgrows any fixed epsilon.
-func pcts(vals []uint64) Pcts {
+// unmodified) — the summary the load reports apply to their metrics. The
+// rank is the exact integer ceil(p·n) — a float product plus a fudge
+// constant can misrank at large n, where the rounding error of p·n
+// outgrows any fixed epsilon.
+func Percentiles(vals []uint64) Pcts {
 	if len(vals) == 0 {
 		return Pcts{}
 	}
@@ -122,23 +118,24 @@ func pcts(vals []uint64) Pcts {
 }
 
 // report assembles the Report after the event loop drains.
-func (e *engine) report() (*Report, error) {
+func (p *pool) report() (*Report, error) {
+	e := p.e
 	label := fmt.Sprintf("%s load (%s)", e.cfg.Spec.Name, e.cfg.Cfg.Arch)
-	tj, err := trace.ChromeJSON(e.tracer.Events(), nil, e.tracer.Dropped)
+	tj, err := trace.ChromeJSON(e.Tracer.Events(), nil, e.Tracer.Dropped)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: trace export: %w", err)
 	}
 
 	r := &Report{
 		Cfg:             e.cfg,
-		Invocations:     e.invs,
-		ColdStarts:      e.coldStarts,
+		Invocations:     e.Invs,
+		ColdStarts:      e.ColdStarts,
 		WarmStarts:      e.warmStarts,
-		ChurnColdStarts: e.churnColds,
-		Reclaims:        e.reclaims,
-		PeakInstances:   e.peak,
-		MaxQueueDepth:   e.maxQueue,
-		CheckFailures:   e.checkFailures,
+		ChurnColdStarts: e.ChurnColds,
+		Reclaims:        p.reclaims,
+		PeakInstances:   e.Peak,
+		MaxQueueDepth:   e.MaxQueue,
+		CheckFailures:   e.CheckFailures,
 		Attempts:        e.attempts,
 		Retries:         e.retries,
 		Timeouts:        e.timeouts,
@@ -147,19 +144,19 @@ func (e *engine) report() (*Report, error) {
 		FaultedAttempts: e.faulted,
 		Failed:          e.failed,
 		Recovered:       e.recovered,
-		StatsText:       e.reg.Text(label),
+		StatsText:       p.reg.Text(label),
 		TraceJSON:       tj,
-		Events:          e.tracer.Events(),
-		TraceDropped:    e.tracer.Dropped,
+		Events:          e.Tracer.Events(),
+		TraceDropped:    e.Tracer.Dropped,
 	}
 
-	lat := make([]uint64, 0, len(e.invs))
-	qd := make([]uint64, 0, len(e.invs))
-	svc := make([]uint64, 0, len(e.invs))
+	lat := make([]uint64, 0, len(e.Invs))
+	qd := make([]uint64, 0, len(e.Invs))
+	svc := make([]uint64, 0, len(e.Invs))
 	var cold []uint64
 	completions := 0
-	for i := range e.invs {
-		inv := &e.invs[i]
+	for i := range e.Invs {
+		inv := &e.Invs[i]
 		lat = append(lat, inv.Latency)
 		qd = append(qd, inv.QueueDelay)
 		svc = append(svc, inv.Service)
@@ -173,10 +170,10 @@ func (e *engine) report() (*Report, error) {
 			r.Makespan = inv.Done
 		}
 	}
-	r.Latency = pcts(lat)
-	r.QueueDelay = pcts(qd)
-	r.Service = pcts(svc)
-	r.ColdPenalty = pcts(cold)
+	r.Latency = Percentiles(lat)
+	r.QueueDelay = Percentiles(qd)
+	r.Service = Percentiles(svc)
+	r.ColdPenalty = Percentiles(cold)
 	if r.Makespan > 0 {
 		// Completions per virtual second: invocations that exhausted every
 		// attempt never completed, so they don't count as throughput.

@@ -108,7 +108,7 @@ func TestPctsExactNearestRank(t *testing.T) {
 		{"n=1e6: large-n ranks stay exact", 1_000_000, 500_000, 950_000, 990_000},
 	}
 	for _, tc := range cases {
-		p := pcts(seq(tc.n))
+		p := Percentiles(seq(tc.n))
 		if p.P50 != tc.p50 || p.P95 != tc.p95 || p.P99 != tc.p99 {
 			t.Errorf("%s: got p50/p95/p99 = %d/%d/%d, want %d/%d/%d",
 				tc.name, p.P50, p.P95, p.P99, tc.p50, tc.p95, tc.p99)
@@ -117,7 +117,7 @@ func TestPctsExactNearestRank(t *testing.T) {
 			t.Errorf("%s: max = %d, want %d", tc.name, p.Max, tc.n)
 		}
 	}
-	if got := pcts(nil); got != (Pcts{}) {
+	if got := Percentiles(nil); got != (Pcts{}) {
 		t.Errorf("empty input: got %+v, want zero", got)
 	}
 }
